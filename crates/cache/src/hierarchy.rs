@@ -61,6 +61,20 @@ pub enum ProbeOutcome {
     },
 }
 
+/// The directory transaction an access needs given the line's state in the
+/// private hierarchy (`None`: not cached).
+fn need_for(state: Option<CoherenceState>, write: bool) -> Option<CoherenceNeed> {
+    match state {
+        None => Some(if write {
+            CoherenceNeed::WriteMiss
+        } else {
+            CoherenceNeed::ReadMiss
+        }),
+        Some(s) if write && !s.can_write() => Some(CoherenceNeed::Upgrade),
+        Some(_) => None,
+    }
+}
+
 /// A single core's private L1D + exclusive L2 hierarchy.
 ///
 /// # Examples
@@ -103,45 +117,40 @@ impl CoreCaches {
     /// This only models presence: permission checking is done separately via
     /// [`CoreCaches::coherence_need`] so the simulator can decide whether a
     /// directory transaction is required before committing the access.
+    /// [`CoreCaches::access_with_need`] does both in one walk.
     pub fn access(&mut self, line: LineAddr, write: bool) -> AccessOutcome {
-        match self.l1d.lookup(line) {
-            Some(state) => {
-                if write && !state.can_write() {
-                    // The store will be granted ownership by the directory;
-                    // presence-wise this is still an L1 hit.
-                }
-                AccessOutcome::L1Hit
-            }
+        self.access_with_need(line, write).0
+    }
+
+    /// [`CoreCaches::access`] and [`CoreCaches::coherence_need`] in one walk
+    /// of the hierarchy: the lookup that finds the line also yields the
+    /// state its coherence need is judged from, as it was *before* the
+    /// access (an L2 hit is promoted to L1 unchanged). Returns exactly what
+    /// `coherence_need` followed by `access` would.
+    pub fn access_with_need(
+        &mut self,
+        line: LineAddr,
+        write: bool,
+    ) -> (AccessOutcome, Option<CoherenceNeed>) {
+        let (outcome, state) = match self.l1d.lookup(line) {
+            Some(state) => (AccessOutcome::L1Hit, Some(state)),
             None => match self.l2.lookup(line) {
                 Some(state) => {
                     // Exclusive hierarchy: promote to L1, removing from L2.
                     self.l2.remove_silently(line);
                     self.install_l1(line, state);
-                    AccessOutcome::L2Hit
+                    (AccessOutcome::L2Hit, Some(state))
                 }
-                None => AccessOutcome::Miss,
+                None => (AccessOutcome::Miss, None),
             },
-        }
+        };
+        (outcome, need_for(state, write))
     }
 
     /// Returns the coherence transaction (if any) the directory must perform
     /// for this access, given the line's current state in this hierarchy.
     pub fn coherence_need(&self, line: LineAddr, write: bool) -> Option<CoherenceNeed> {
-        let state = self.state_of(line);
-        match state {
-            None => Some(if write {
-                CoherenceNeed::WriteMiss
-            } else {
-                CoherenceNeed::ReadMiss
-            }),
-            Some(s) => {
-                if write && !s.can_write() {
-                    Some(CoherenceNeed::Upgrade)
-                } else {
-                    None
-                }
-            }
-        }
+        need_for(self.state_of(line), write)
     }
 
     /// Installs a line delivered by the directory in the given state.
@@ -208,10 +217,12 @@ impl CoreCaches {
         self.state_of(line).is_some()
     }
 
-    /// Takes the list of lines that have been displaced entirely out of the
-    /// hierarchy (L2 capacity victims) since the last call.
-    pub fn take_capacity_victims(&mut self) -> Vec<EvictedLine> {
-        std::mem::take(&mut self.pending_victims)
+    /// Drains the lines that have been displaced entirely out of the
+    /// hierarchy (L2 capacity victims) since the last call, oldest first.
+    /// The hierarchy keeps the emptied buffer, so later victims reuse its
+    /// capacity; dropping the iterator early discards the rest.
+    pub fn take_capacity_victims(&mut self) -> impl ExactSizeIterator<Item = EvictedLine> + '_ {
+        self.pending_victims.drain(..)
     }
 
     /// L1D statistics.
@@ -405,16 +416,52 @@ mod tests {
         for i in 0..(total * 2) {
             c.fill(LineAddr::new(i), CoherenceState::Exclusive);
         }
-        let victims = c.take_capacity_victims();
+        let victims: Vec<EvictedLine> = c.take_capacity_victims().collect();
         assert!(!victims.is_empty());
         // Victims are gone from the hierarchy.
         for v in &victims {
             assert!(!c.contains(v.addr));
         }
         // Draining twice yields nothing new.
-        assert!(c.take_capacity_victims().is_empty());
+        assert_eq!(c.take_capacity_victims().len(), 0);
         // The hierarchy never holds more than its capacity.
         assert!(c.resident_lines() <= total as usize);
+    }
+
+    /// The fused walk must answer exactly what the two-call sequence it
+    /// replaced did, and leave the hierarchy in the same state.
+    #[test]
+    fn access_with_need_matches_coherence_need_then_access() {
+        let mut fused = caches();
+        let mut split = caches();
+        let mut rng = 0x5EED_u64;
+        let states = [
+            CoherenceState::Modified,
+            CoherenceState::Owned,
+            CoherenceState::Exclusive,
+            CoherenceState::Shared,
+        ];
+        for _ in 0..20_000 {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let line = LineAddr::new((rng >> 33) % 4096);
+            let write = (rng >> 20) & 1 == 1;
+            if (rng >> 12).is_multiple_of(4) {
+                let state = states[(rng >> 8) as usize % states.len()];
+                fused.fill(line, state);
+                split.fill(line, state);
+            } else {
+                let need = split.coherence_need(line, write);
+                let outcome = split.access(line, write);
+                assert_eq!(fused.access_with_need(line, write), (outcome, need));
+            }
+            assert_eq!(
+                fused.take_capacity_victims().collect::<Vec<_>>(),
+                split.take_capacity_victims().collect::<Vec<_>>()
+            );
+        }
+        assert_eq!(fused.export_state(), split.export_state());
     }
 
     #[test]

@@ -21,36 +21,35 @@ pub enum ReplacementPolicy {
 }
 
 impl ReplacementPolicy {
-    /// Selects the victim way.
+    /// Selects the victim way of a full set.
     ///
-    /// `last_touch[i]` is the sequence number of the most recent hit on way
-    /// `i`, `inserted[i]` the sequence number at which way `i` was filled,
-    /// and `tick` the current access sequence number.
+    /// `ways` yields `(last_touch, inserted)` for each way in storage
+    /// order: the sequence number of the way's most recent hit and the one
+    /// at which it was filled. `tick` is the current access sequence
+    /// number. Ties go to the lowest way index. Taking an iterator lets a
+    /// cache choose in place over its own way records, with no scratch
+    /// buffer.
     ///
     /// # Panics
     ///
-    /// Panics if the slices are empty or have different lengths.
-    pub fn pick_victim(self, last_touch: &[u64], inserted: &[u64], tick: u64) -> usize {
-        assert!(
-            !last_touch.is_empty(),
-            "cannot pick a victim from an empty set"
-        );
-        assert_eq!(
-            last_touch.len(),
-            inserted.len(),
-            "metadata slices must match"
-        );
+    /// Panics if `ways` is empty.
+    pub fn pick_victim<I>(self, ways: I, tick: u64) -> usize
+    where
+        I: IntoIterator<Item = (u64, u64)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let ways = ways.into_iter();
+        let len = ways.len();
+        assert!(len > 0, "cannot pick a victim from an empty set");
         match self {
-            ReplacementPolicy::Lru => last_touch
-                .iter()
+            ReplacementPolicy::Lru => ways
                 .enumerate()
-                .min_by_key(|(i, touch)| (**touch, *i))
+                .min_by_key(|&(i, (touch, _))| (touch, i))
                 .map(|(i, _)| i)
                 .expect("non-empty"),
-            ReplacementPolicy::Fifo => inserted
-                .iter()
+            ReplacementPolicy::Fifo => ways
                 .enumerate()
-                .min_by_key(|(i, ins)| (**ins, *i))
+                .min_by_key(|&(i, (_, ins))| (ins, i))
                 .map(|(i, _)| i)
                 .expect("non-empty"),
             ReplacementPolicy::Random => {
@@ -59,7 +58,7 @@ impl ReplacementPolicy {
                 let mut z = tick.wrapping_add(0x9E37_79B9_7F4A_7C15);
                 z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
                 z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)) as usize % last_touch.len()
+                (z ^ (z >> 31)) as usize % len
             }
         }
     }
@@ -89,7 +88,7 @@ mod tests {
         let last_touch = [10, 3, 7, 9];
         let inserted = [0, 1, 2, 3];
         assert_eq!(
-            ReplacementPolicy::Lru.pick_victim(&last_touch, &inserted, 11),
+            ReplacementPolicy::Lru.pick_victim(last_touch.into_iter().zip(inserted), 11),
             1
         );
     }
@@ -99,7 +98,7 @@ mod tests {
         let last_touch = [5, 5, 5];
         let inserted = [0, 1, 2];
         assert_eq!(
-            ReplacementPolicy::Lru.pick_victim(&last_touch, &inserted, 6),
+            ReplacementPolicy::Lru.pick_victim(last_touch.into_iter().zip(inserted), 6),
             0
         );
     }
@@ -109,7 +108,7 @@ mod tests {
         let last_touch = [100, 1, 50];
         let inserted = [2, 5, 0];
         assert_eq!(
-            ReplacementPolicy::Fifo.pick_victim(&last_touch, &inserted, 101),
+            ReplacementPolicy::Fifo.pick_victim(last_touch.into_iter().zip(inserted), 101),
             2
         );
     }
@@ -118,13 +117,13 @@ mod tests {
     fn random_is_deterministic_and_in_range() {
         let last_touch = [0, 0, 0, 0];
         let inserted = [0, 0, 0, 0];
-        let a = ReplacementPolicy::Random.pick_victim(&last_touch, &inserted, 42);
-        let b = ReplacementPolicy::Random.pick_victim(&last_touch, &inserted, 42);
+        let a = ReplacementPolicy::Random.pick_victim(last_touch.into_iter().zip(inserted), 42);
+        let b = ReplacementPolicy::Random.pick_victim(last_touch.into_iter().zip(inserted), 42);
         assert_eq!(a, b);
         assert!(a < 4);
         // Different ticks eventually pick different ways.
         let picks: std::collections::HashSet<usize> = (0..64)
-            .map(|t| ReplacementPolicy::Random.pick_victim(&last_touch, &inserted, t))
+            .map(|t| ReplacementPolicy::Random.pick_victim(last_touch.into_iter().zip(inserted), t))
             .collect();
         assert!(picks.len() > 1);
     }
@@ -132,7 +131,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty set")]
     fn empty_set_panics() {
-        ReplacementPolicy::Lru.pick_victim(&[], &[], 0);
+        ReplacementPolicy::Lru.pick_victim(std::iter::empty(), 0);
     }
 
     #[test]

@@ -61,6 +61,9 @@ pub struct SetAssocCache {
     slab: Vec<Way>,
     lens: Vec<u32>,
     num_sets: usize,
+    /// `num_sets - 1` when the set count is a power of two (every
+    /// configured cache here), so the set index is a mask, not a division.
+    set_mask: Option<u64>,
     ways: usize,
     policy: ReplacementPolicy,
     tick: u64,
@@ -110,6 +113,7 @@ impl SetAssocCache {
             slab: vec![EMPTY_WAY; num_sets * ways],
             lens: vec![0; num_sets],
             num_sets,
+            set_mask: num_sets.is_power_of_two().then_some(num_sets as u64 - 1),
             ways,
             policy,
             tick: 0,
@@ -118,7 +122,10 @@ impl SetAssocCache {
     }
 
     fn set_index(&self, line: LineAddr) -> usize {
-        (line.raw() % self.num_sets as u64) as usize
+        match self.set_mask {
+            Some(mask) => (line.raw() & mask) as usize,
+            None => (line.raw() % self.num_sets as u64) as usize,
+        }
     }
 
     /// The occupied ways of `set`.
@@ -212,12 +219,12 @@ impl SetAssocCache {
 
         let mut victim = None;
         if self.lens[set_idx] as usize >= ways {
-            let (touches, inserts): (Vec<u64>, Vec<u64>) = self
-                .set_ways(set_idx)
-                .iter()
-                .map(|w| (w.last_touch, w.inserted))
-                .unzip();
-            let victim_way = policy.pick_victim(&touches, &inserts, tick);
+            let victim_way = policy.pick_victim(
+                self.set_ways(set_idx)
+                    .iter()
+                    .map(|w| (w.last_touch, w.inserted)),
+                tick,
+            );
             let evicted = self.swap_remove_way(set_idx, victim_way);
             self.stats.evictions.incr();
             if evicted.state.is_dirty() {
@@ -542,9 +549,51 @@ mod tests {
         let _ = SetAssocCache::from_geometry(4, 0, ReplacementPolicy::Lru);
     }
 
+    /// The slice-based victim selection the in-place
+    /// [`ReplacementPolicy::pick_victim`] replaced, kept as the model's
+    /// executable specification of every policy.
+    fn slice_pick_victim(
+        policy: ReplacementPolicy,
+        last_touch: &[u64],
+        inserted: &[u64],
+        tick: u64,
+    ) -> usize {
+        assert!(
+            !last_touch.is_empty(),
+            "cannot pick a victim from an empty set"
+        );
+        assert_eq!(
+            last_touch.len(),
+            inserted.len(),
+            "metadata slices must match"
+        );
+        match policy {
+            ReplacementPolicy::Lru => last_touch
+                .iter()
+                .enumerate()
+                .min_by_key(|(i, touch)| (**touch, *i))
+                .map(|(i, _)| i)
+                .expect("non-empty"),
+            ReplacementPolicy::Fifo => inserted
+                .iter()
+                .enumerate()
+                .min_by_key(|(i, ins)| (**ins, *i))
+                .map(|(i, _)| i)
+                .expect("non-empty"),
+            ReplacementPolicy::Random => {
+                let mut z = tick.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as usize % last_touch.len()
+            }
+        }
+    }
+
     /// The nested-`Vec` storage the flat slab replaced, kept as an
     /// executable specification: every operation must return the same
-    /// value and leave the same stats as this model.
+    /// value and leave the same stats as this model. Victims are chosen by
+    /// [`slice_pick_victim`], so the slab's in-place choice is checked
+    /// against the old slice-based one too.
     struct NestedModel {
         sets: Vec<Vec<Way>>,
         ways: usize,
@@ -595,8 +644,12 @@ mod tests {
             if self.sets[set].len() >= self.ways {
                 let touches: Vec<u64> = self.sets[set].iter().map(|w| w.last_touch).collect();
                 let inserts: Vec<u64> = self.sets[set].iter().map(|w| w.inserted).collect();
-                let evicted =
-                    self.sets[set].swap_remove(self.policy.pick_victim(&touches, &inserts, tick));
+                let evicted = self.sets[set].swap_remove(slice_pick_victim(
+                    self.policy,
+                    &touches,
+                    &inserts,
+                    tick,
+                ));
                 self.stats.evictions.incr();
                 if evicted.state.is_dirty() {
                     self.stats.writebacks.incr();
@@ -656,7 +709,8 @@ mod tests {
     /// the same seeded operation stream and demands identical results,
     /// identical stats, and identical storage order — the strongest form
     /// of "the slab refactor changed nothing", covering the
-    /// position-dependent victim choices of every policy.
+    /// position-dependent victim choices of every policy, with a
+    /// power-of-two set count (masked set index) and without (modulo).
     #[test]
     fn flat_slab_matches_nested_vec_reference_model() {
         for policy in [
@@ -664,10 +718,13 @@ mod tests {
             ReplacementPolicy::Fifo,
             ReplacementPolicy::Random,
         ] {
-            for seed in 1..=4u64 {
+            for (sets, seed) in [4usize, 3]
+                .into_iter()
+                .flat_map(|n| (1..=4u64).map(move |s| (n, s)))
+            {
                 let mut rng = seed;
-                let mut flat = SetAssocCache::from_geometry(4, 3, policy);
-                let mut model = NestedModel::new(4, 3, policy);
+                let mut flat = SetAssocCache::from_geometry(sets, 3, policy);
+                let mut model = NestedModel::new(sets, 3, policy);
                 let states = [
                     CoherenceState::Modified,
                     CoherenceState::Owned,
@@ -689,7 +746,11 @@ mod tests {
                     .iter()
                     .map(|(addr, state)| (addr.raw(), state))
                     .collect();
-                assert_eq!(flat_contents, model.contents(), "{policy:?} seed {seed}");
+                assert_eq!(
+                    flat_contents,
+                    model.contents(),
+                    "{policy:?} {sets} sets seed {seed}"
+                );
                 assert_eq!(flat.stats().hits.get(), model.stats.hits.get());
                 assert_eq!(flat.stats().misses.get(), model.stats.misses.get());
                 assert_eq!(flat.stats().evictions.get(), model.stats.evictions.get());

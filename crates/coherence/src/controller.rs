@@ -11,6 +11,7 @@
 use crate::policy::AllocationPolicy;
 use crate::probe_filter::{PfEviction, ProbeFilter};
 use crate::request::{CoherenceRequest, RequestKind};
+use crate::sharers::SharerSet;
 use allarm_cache::{CoherenceState, ProbeOutcome};
 use allarm_noc::MessageClass;
 use allarm_types::addr::LineAddr;
@@ -185,6 +186,10 @@ pub struct DirectoryController {
     sharer_tracking: SharerTracking,
     pf_latency: Nanos,
     stats: DirectoryStats,
+    /// Scratch for the caches one invalidation reaches, as `(node, core)`
+    /// in ascending core order; refilled per ownership invalidation or
+    /// probe-filter eviction, so neither allocates once it has grown.
+    targets: Vec<(NodeId, CoreId)>,
 }
 
 impl DirectoryController {
@@ -218,6 +223,7 @@ impl DirectoryController {
             sharer_tracking: config.sharer_tracking,
             pf_latency: config.access_latency,
             stats: DirectoryStats::default(),
+            targets: Vec::new(),
         }
     }
 
@@ -284,9 +290,10 @@ impl DirectoryController {
         let mut latency = sys.send(req.requester_node, self.home, MessageClass::Request);
         latency += self.pf_latency;
 
-        let response = match self.probe_filter.lookup(req.line) {
-            Some(_) => self.handle_hit(req, sys),
-            None => self.handle_miss(req, sys),
+        let response = if self.probe_filter.lookup(req.line).is_some() {
+            self.handle_hit(req, sys)
+        } else {
+            self.handle_miss(req, sys)
         };
 
         DirectoryResponse {
@@ -338,6 +345,9 @@ impl DirectoryController {
         match req.kind {
             RequestKind::GetS => {
                 let owner = entry.owner;
+                // Read before any mutation below: the fill state is judged
+                // from the entry as the request found it.
+                let sharers_before = entry.sharers.count();
                 if owner != req.requester && entry.sharers.contains(owner) {
                     // Probe the owner and launch the DRAM read speculatively
                     // in parallel (as deployed Hammer directories do): if the
@@ -382,10 +392,14 @@ impl DirectoryController {
                             // Re-establish tracking for the requester. Other
                             // sharers may remain in the entry, in which case
                             // the requester only gets a shared copy.
-                            let fill_state = match self.probe_filter.peek(req.line) {
-                                Some(remaining) => {
+                            let remaining = self
+                                .probe_filter
+                                .peek(req.line)
+                                .map(|entry| entry.sharers.is_empty());
+                            let fill_state = match remaining {
+                                Some(now_unshared) => {
                                     self.probe_filter.add_sharer(req.line, req.requester);
-                                    if remaining.sharers.is_empty() {
+                                    if now_unshared {
                                         CoherenceState::Exclusive
                                     } else {
                                         CoherenceState::Shared
@@ -410,7 +424,7 @@ impl DirectoryController {
                 self.stats.dram_fills.incr();
                 let data = sys.send(self.home, req.requester_node, MessageClass::Data);
                 self.probe_filter.add_sharer(req.line, req.requester);
-                let state = if entry.sharers.count() <= 1 {
+                let state = if sharers_before <= 1 {
                     CoherenceState::Exclusive
                 } else {
                     CoherenceState::Shared
@@ -422,65 +436,38 @@ impl DirectoryController {
                 }
             }
             RequestKind::GetX | RequestKind::Upgrade => {
-                let response =
-                    self.invalidate_for_ownership(req, entry.sharers.iter().collect(), sys);
+                fill_targets(
+                    &mut self.targets,
+                    self.sharer_tracking,
+                    &entry.sharers,
+                    req.requester,
+                    sys,
+                );
+                let response = self.invalidate_for_ownership(req, sys);
                 self.probe_filter.set_owner(req.line, req.requester, true);
                 response
             }
         }
     }
 
-    /// The caches that must lose their copy for `requester` to take
-    /// ownership, grouped by NUMA node in ascending core order. Grouping is
-    /// what makes tracking hierarchical on multi-core nodes: the directory
-    /// sends one invalidation (and collects one combined ack) per *node*,
-    /// and the node fans it out to its member caches locally. With one core
-    /// per node every group is a singleton and the flow is the classic
-    /// per-core one.
-    fn invalidation_targets(
-        &self,
-        sharers: Vec<CoreId>,
-        exclude: CoreId,
-        sys: &dyn SystemAccess,
-    ) -> Vec<(NodeId, Vec<CoreId>)> {
-        let targets: Box<dyn Iterator<Item = CoreId>> = match self.sharer_tracking {
-            SharerTracking::SharerVector => Box::new(sharers.into_iter()),
-            SharerTracking::HammerBroadcast => {
-                Box::new((0..sys.num_cores() as u16).map(CoreId::new))
-            }
-        };
-        let mut groups: Vec<(NodeId, Vec<CoreId>)> = Vec::new();
-        for core in targets.filter(|c| *c != exclude) {
-            let node = sys.node_of_core(core);
-            match groups.last_mut() {
-                Some((n, cores)) if *n == node => cores.push(core),
-                _ => groups.push((node, vec![core])),
-            }
-        }
-        groups
-    }
-
-    /// Invalidates every copy other than the requester's and (for GetX)
-    /// delivers the data. Used for both probe-filter hits on writes and the
-    /// write-miss allocation path.
+    /// Invalidates every copy in `self.targets` (every copy other than the
+    /// requester's) and (for GetX) delivers the data.
     fn invalidate_for_ownership(
         &mut self,
         req: CoherenceRequest,
-        sharers: Vec<CoreId>,
         sys: &mut dyn SystemAccess,
     ) -> DirectoryResponse {
-        let groups = self.invalidation_targets(sharers, req.requester, sys);
-
         // All invalidations proceed in parallel; the critical path is the
         // slowest round trip. Within a node the member caches are probed in
         // parallel off one message, so the node costs a single array
         // latency however many cores it hosts.
         let mut inval_path = Nanos::ZERO;
         let mut dirty_source: Option<NodeId> = None;
-        for (target_node, cores) in groups {
+        for group in self.targets.chunk_by(|a, b| a.0 == b.0) {
+            let target_node = group[0].0;
             let inv = sys.send(self.home, target_node, MessageClass::Invalidate);
             let mut node_had_dirty = false;
-            for target in cores {
+            for &(_, target) in group {
                 let outcome = sys.probe_cache(target, req.line, false, true);
                 self.stats.ownership_invalidations.incr();
                 if let ProbeOutcome::Hit { dirty: true, .. } = outcome {
@@ -562,7 +549,8 @@ impl DirectoryController {
 
         // Allocate an entry (possibly displacing a victim).
         if let Some(eviction) = self.probe_filter.allocate(req.line, req.requester) {
-            self.process_pf_eviction(eviction, sys);
+            self.process_pf_eviction(&eviction, sys);
+            self.probe_filter.recycle(eviction);
         }
 
         if self.policy.is_allarm() {
@@ -670,14 +658,21 @@ impl DirectoryController {
     /// (the directory retires them in the background), but every message and
     /// every lost cache line is accounted for — they are the cost the paper
     /// measures in Figs. 3b–3f.
-    fn process_pf_eviction(&mut self, eviction: PfEviction, sys: &mut dyn SystemAccess) {
+    fn process_pf_eviction(&mut self, eviction: &PfEviction, sys: &mut dyn SystemAccess) {
         self.stats.pf_evictions.incr();
         let line = eviction.entry.line;
-        let sharers: Vec<CoreId> = eviction.entry.sharers.iter().collect();
         // No core is exempt from a back-invalidation, so exclude a core id
         // that cannot occur.
         let nobody = CoreId::new(u16::MAX);
-        for (target_node, cores) in self.invalidation_targets(sharers, nobody, sys) {
+        fill_targets(
+            &mut self.targets,
+            self.sharer_tracking,
+            &eviction.entry.sharers,
+            nobody,
+            sys,
+        );
+        for group in self.targets.chunk_by(|a, b| a.0 == b.0) {
+            let target_node = group[0].0;
             // One invalidation reaches the node; its member caches are
             // probed there; one combined ack returns. On one-core nodes
             // this is the classic two-messages-per-sharer cost of Fig. 3d;
@@ -685,7 +680,7 @@ impl DirectoryController {
             sys.send(self.home, target_node, MessageClass::Invalidate);
             self.stats.eviction_messages.incr();
             let mut writebacks = 0u64;
-            for target in cores {
+            for &(_, target) in group {
                 let outcome = sys.probe_cache(target, line, false, true);
                 if let ProbeOutcome::Hit { dirty, .. } = outcome {
                     self.stats.eviction_invalidations.incr();
@@ -710,6 +705,36 @@ impl DirectoryController {
     }
 }
 
+/// Fills `targets` with the caches that must lose their copy of a line, as
+/// `(node, core)` in ascending core order, skipping `exclude`: the sharers
+/// under sharer-vector tracking, every core under Hammer broadcast.
+///
+/// Runs of equal node form the invalidation groups. Grouping is what makes
+/// tracking hierarchical on multi-core nodes: the directory sends one
+/// invalidation (and collects one combined ack) per *node*, and the node
+/// fans it out to its member caches locally. With one core per node every
+/// group is a singleton and the flow is the classic per-core one.
+fn fill_targets(
+    targets: &mut Vec<(NodeId, CoreId)>,
+    tracking: SharerTracking,
+    sharers: &SharerSet,
+    exclude: CoreId,
+    sys: &dyn SystemAccess,
+) {
+    targets.clear();
+    let mut push = |core: CoreId| {
+        if core != exclude {
+            targets.push((sys.node_of_core(core), core));
+        }
+    };
+    match tracking {
+        SharerTracking::SharerVector => sharers.iter().for_each(&mut push),
+        SharerTracking::HammerBroadcast => (0..sys.num_cores() as u16)
+            .map(CoreId::new)
+            .for_each(&mut push),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -727,6 +752,8 @@ mod tests {
         dram_latency: Nanos,
         dram_reads: u64,
         dram_writes: u64,
+        /// Every message sent, in order, as `(src node, dst node, class)`.
+        sent: Vec<(u16, u16, MessageClass)>,
     }
 
     impl MiniSystem {
@@ -744,6 +771,7 @@ mod tests {
                 dram_latency: Nanos::new(60),
                 dram_reads: 0,
                 dram_writes: 0,
+                sent: Vec::new(),
             }
         }
     }
@@ -760,6 +788,7 @@ mod tests {
         }
 
         fn send(&mut self, src: NodeId, dst: NodeId, class: MessageClass) -> Nanos {
+            self.sent.push((src.raw(), dst.raw(), class));
             self.network.send(src, dst, class)
         }
 
@@ -1146,5 +1175,108 @@ mod tests {
         assert_eq!(sys.caches[3].state_of(LineAddr::new(0)), None);
         // The two-level filter recorded its node-vector activity.
         assert!(dir.probe_filter().stats().node_vector_accesses.get() > 0);
+    }
+
+    /// A broadcast-tracking (Hammer) controller homed on node 0 of the
+    /// 2-node x 2-core machine: a 2-entry LRU probe filter, so the tests
+    /// can force evictions.
+    fn broadcast_controller() -> DirectoryController {
+        let mut cfg = ProbeFilterConfig::new(2 * 64, 2);
+        cfg.replacement = allarm_types::config::PfReplacement::Lru;
+        cfg.sharer_tracking = SharerTracking::HammerBroadcast;
+        DirectoryController::hierarchical(NodeId::new(0), &cfg, AllocationPolicy::Baseline, 2)
+    }
+
+    /// A store request on the 2-node x 2-core machine.
+    fn getx2(line: u64, core: u16) -> CoherenceRequest {
+        CoherenceRequest::new(
+            LineAddr::new(line),
+            RequestKind::GetX,
+            CoreId::new(core),
+            NodeId::new(core / 2),
+        )
+    }
+
+    #[test]
+    fn hammer_broadcast_ownership_invalidation_reaches_every_node_group() {
+        use MessageClass::*;
+        let mut sys = MiniSystem::with_cores_per_node(2);
+        let mut dir = broadcast_controller();
+        // Core 1 (node 0) writes the line and keeps it Modified.
+        let r = dir.handle_request(getx2(300, 1), &mut sys);
+        sys.caches[1].fill(LineAddr::new(300), r.fill_state);
+        // Core 2 (node 1) reads it: core 1 supplies it and stays Owned.
+        let r = dir.handle_request(gets2(300, 2), &mut sys);
+        sys.caches[2].fill(LineAddr::new(300), r.fill_state);
+        sys.sent.clear();
+        let reads_before = sys.dram_reads;
+
+        // Core 3 (node 1) writes it. Broadcast ignores the sharer vector:
+        // every core but the requester is probed, in two node groups —
+        // node 0 (cores 0 and 1) and node 1 (core 2).
+        let r = dir.handle_request(getx2(300, 3), &mut sys);
+        assert_eq!(r.fill_state, CoherenceState::Modified);
+        assert_eq!(
+            sys.sent,
+            vec![
+                (1, 0, Request),
+                (0, 0, Invalidate),
+                (0, 0, InvalidateAck),
+                (0, 1, Invalidate),
+                (1, 0, InvalidateAck),
+                // Node 0 held the dirty (Owned) copy: it forwards the data.
+                (0, 1, ProbeData),
+            ]
+        );
+        assert_eq!(dir.stats().ownership_invalidations.get(), 3);
+        assert_eq!(dir.stats().cache_transfers.get(), 2);
+        assert_eq!(sys.dram_reads, reads_before);
+        assert_eq!(sys.caches[1].state_of(LineAddr::new(300)), None);
+        assert_eq!(sys.caches[2].state_of(LineAddr::new(300)), None);
+        let entry = dir.probe_filter().peek(LineAddr::new(300)).unwrap();
+        assert_eq!(entry.owner, CoreId::new(3));
+        assert_eq!(entry.sharers.count(), 1);
+    }
+
+    #[test]
+    fn hammer_broadcast_pf_eviction_back_invalidates_every_node_group() {
+        use MessageClass::*;
+        let mut sys = MiniSystem::with_cores_per_node(2);
+        let mut dir = broadcast_controller();
+        // Line 0: core 2 writes it, core 3 reads it (core 2 keeps it
+        // Owned, core 3 Shared) — both on node 1.
+        let r = dir.handle_request(getx2(0, 2), &mut sys);
+        sys.caches[2].fill(LineAddr::new(0), r.fill_state);
+        let r = dir.handle_request(gets2(0, 3), &mut sys);
+        sys.caches[3].fill(LineAddr::new(0), r.fill_state);
+        // Line 2 fills the set; line 4 displaces line 0's entry.
+        dir.handle_request(gets2(2, 0), &mut sys);
+        sys.sent.clear();
+        let writes_before = sys.dram_writes;
+        dir.handle_request(gets2(4, 0), &mut sys);
+
+        assert_eq!(dir.stats().pf_evictions.get(), 1);
+        assert_eq!(
+            sys.sent,
+            vec![
+                (0, 0, Request),
+                // Node 0 (cores 0 and 1): probed, nothing held.
+                (0, 0, Invalidate),
+                (0, 0, InvalidateAck),
+                // Node 1 (cores 2 and 3): both copies die, the dirty one
+                // is written back.
+                (0, 1, Invalidate),
+                (1, 0, InvalidateAck),
+                (1, 0, WriteBack),
+                // The requester's data.
+                (0, 0, Data),
+            ]
+        );
+        assert_eq!(dir.stats().eviction_messages.get(), 5);
+        assert_eq!(dir.stats().eviction_invalidations.get(), 2);
+        assert_eq!(dir.stats().eviction_writebacks.get(), 1);
+        assert_eq!(sys.dram_writes, writes_before + 1);
+        assert_eq!(sys.caches[2].state_of(LineAddr::new(0)), None);
+        assert_eq!(sys.caches[3].state_of(LineAddr::new(0)), None);
     }
 }

@@ -135,6 +135,9 @@ pub struct ProbeFilter {
     /// `num_sets * ways` slots; invalid slots are free.
     slab: Vec<Slot>,
     num_sets: usize,
+    /// `num_sets - 1` when the set count is a power of two, so the set
+    /// index is a mask, not a division.
+    set_mask: Option<u64>,
     ways: usize,
     replacement: PfReplacement,
     /// Cores per NUMA node; `1` means a flat (single-level) filter, larger
@@ -142,6 +145,9 @@ pub struct ProbeFilter {
     cores_per_node: u32,
     tick: u64,
     stats: PfStats,
+    /// A sharer set handed back by [`ProbeFilter::recycle`], reused by the
+    /// next eviction's new entry.
+    spare: SharerSet,
 }
 
 impl ProbeFilter {
@@ -179,11 +185,13 @@ impl ProbeFilter {
         ProbeFilter {
             slab: vec![empty; num_sets * ways],
             num_sets,
+            set_mask: num_sets.is_power_of_two().then_some(num_sets as u64 - 1),
             ways,
             replacement: config.replacement,
             cores_per_node,
             tick: 0,
             stats: PfStats::default(),
+            spare: SharerSet::empty(),
         }
     }
 
@@ -193,7 +201,10 @@ impl ProbeFilter {
     }
 
     fn set_index(&self, line: LineAddr) -> usize {
-        (line.raw() % self.num_sets as u64) as usize
+        match self.set_mask {
+            Some(mask) => (line.raw() & mask) as usize,
+            None => (line.raw() % self.num_sets as u64) as usize,
+        }
     }
 
     /// Start of `line`'s set within the slab.
@@ -211,7 +222,7 @@ impl ProbeFilter {
     }
 
     /// Looks up the entry for `line`, updating recency and hit/miss counts.
-    pub fn lookup(&mut self, line: LineAddr) -> Option<PfEntry> {
+    pub fn lookup(&mut self, line: LineAddr) -> Option<&PfEntry> {
         self.tick += 1;
         let tick = self.tick;
         self.touch_array();
@@ -223,7 +234,7 @@ impl ProbeFilter {
         {
             slot.last_touch = tick;
             self.stats.hits.incr();
-            Some(slot.entry.clone())
+            Some(&slot.entry)
         } else {
             self.stats.misses.incr();
             None
@@ -231,12 +242,12 @@ impl ProbeFilter {
     }
 
     /// Checks for an entry without touching recency or statistics.
-    pub fn peek(&self, line: LineAddr) -> Option<PfEntry> {
+    pub fn peek(&self, line: LineAddr) -> Option<&PfEntry> {
         let base = self.set_base(line);
         self.slab[base..base + self.ways]
             .iter()
             .find(|s| s.valid && s.entry.line == line)
-            .map(|s| s.entry.clone())
+            .map(|s| &s.entry)
     }
 
     /// The level-1 view of `line`'s entry, if present: the nodes holding at
@@ -268,16 +279,16 @@ impl ProbeFilter {
         }
 
         self.stats.allocations.incr();
-        let new_slot = Slot {
-            entry: PfEntry::new(line, owner),
-            last_touch: tick,
-            valid: true,
-        };
 
         // Reuse the first invalid slot if the set has one (a never-used way
-        // or a deallocated entry).
+        // or a deallocated entry), in place: a wide sharer set keeps its
+        // words.
         if let Some(slot) = self.slab[base..base + ways].iter_mut().find(|s| !s.valid) {
-            *slot = new_slot;
+            slot.entry.line = line;
+            slot.entry.owner = owner;
+            slot.entry.sharers.set_only(owner);
+            slot.last_touch = tick;
+            slot.valid = true;
             return None;
         }
 
@@ -301,9 +312,29 @@ impl ProbeFilter {
                 ((z ^ (z >> 31)) % ways as u64) as usize
             }
         };
-        let victim = std::mem::replace(&mut self.slab[base + victim_idx], new_slot).entry;
+        // The victim leaves with its sharer set; the new entry takes the
+        // set [`ProbeFilter::recycle`] returned from an earlier eviction.
+        let mut sharers = std::mem::take(&mut self.spare);
+        sharers.set_only(owner);
+        let slot = &mut self.slab[base + victim_idx];
+        slot.last_touch = tick;
+        let victim = std::mem::replace(
+            &mut slot.entry,
+            PfEntry {
+                line,
+                owner,
+                sharers,
+            },
+        );
         self.stats.evictions.incr();
         Some(PfEviction { entry: victim })
+    }
+
+    /// Hands a processed eviction's storage back, so the next eviction's
+    /// new entry reuses its sharer set instead of allocating one (only
+    /// sets wider than 64 cores live on the heap).
+    pub fn recycle(&mut self, eviction: PfEviction) {
+        self.spare = eviction.entry.sharers;
     }
 
     /// Adds `core` to the sharer set of an existing entry; returns false if
@@ -333,7 +364,7 @@ impl ProbeFilter {
         {
             slot.entry.owner = owner;
             if exclusive {
-                slot.entry.sharers = SharerSet::only(owner);
+                slot.entry.sharers.set_only(owner);
             } else {
                 slot.entry.sharers.insert(owner);
             }
@@ -856,13 +887,17 @@ mod tests {
     /// identical return values, stats and occupancy — covering the
     /// position-dependent pieces (first-invalid reuse, LRU and random
     /// victim selection) across both replacement policies and both the
-    /// flat and hierarchical sharer-tracking modes.
+    /// flat and hierarchical sharer-tracking modes, on machines whose
+    /// sharer sets fit one word and on 256-core ones whose sets go wide
+    /// (exercising in-place slot reuse and recycled eviction storage).
     #[test]
     fn flat_slab_matches_nested_vec_reference_model() {
         for replacement in [PfReplacement::Lru, PfReplacement::Random] {
-            for cores_per_node in [1u32, 4] {
+            for (cores_per_node, cores, sets) in
+                [(1u32, 8u64, 4u64), (4, 8, 4), (4, 256, 4), (1, 8, 3)]
+            {
                 for seed in 1..=3u64 {
-                    let mut cfg = ProbeFilterConfig::new(16 * 64, 4);
+                    let mut cfg = ProbeFilterConfig::new(sets * 4 * 64, 4);
                     cfg.replacement = replacement;
                     let mut flat = ProbeFilter::hierarchical(&cfg, cores_per_node);
                     let mut model =
@@ -871,11 +906,15 @@ mod tests {
                     for _ in 0..5_000 {
                         let r = splitmix64(&mut rng);
                         let line = LineAddr::new(r % 64); // 4x conflict pressure
-                        let core = CoreId::new(((r >> 8) % 8) as u16);
+                        let core = CoreId::new(((r >> 8) % cores) as u16);
                         match (r >> 16) % 6 {
-                            0 => assert_eq!(flat.lookup(line), model.lookup(line)),
+                            0 => assert_eq!(flat.lookup(line).cloned(), model.lookup(line)),
                             1 | 2 => {
-                                assert_eq!(flat.allocate(line, core), model.allocate(line, core));
+                                let evicted = flat.allocate(line, core);
+                                assert_eq!(evicted, model.allocate(line, core));
+                                if let Some(eviction) = evicted {
+                                    flat.recycle(eviction);
+                                }
                             }
                             3 => assert_eq!(
                                 flat.add_sharer(line, core),
@@ -905,7 +944,7 @@ mod tests {
                     assert_eq!(flat.occupancy(), model.occupancy());
                     for addr in 0..64u64 {
                         assert_eq!(
-                            flat.peek(LineAddr::new(addr)),
+                            flat.peek(LineAddr::new(addr)).cloned(),
                             model
                                 .sets
                                 .iter()

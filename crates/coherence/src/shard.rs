@@ -227,12 +227,16 @@ impl DirectoryShard {
     }
 
     /// Drains a batch of events through this shard's directories, in
-    /// deterministic [`MergeKey`] order, and returns the replies owed to
-    /// requesting cores (in the same order).
+    /// deterministic [`MergeKey`] order, and appends the replies owed to
+    /// requesting cores (in the same order) to `replies` — a buffer the
+    /// caller keeps across rounds, so a round allocates nothing.
     ///
     /// The batch may arrive unsorted (it is typically concatenated from
     /// several source shards); sorting happens here so no caller can
-    /// accidentally feed a nondeterministic order.
+    /// accidentally feed a nondeterministic order. The sort is unstable,
+    /// which cannot change the order: every event carries a distinct key
+    /// (the key names its issuing core and that core's own sequence
+    /// number), so the keys alone fix the order.
     ///
     /// # Panics
     ///
@@ -241,9 +245,9 @@ impl DirectoryShard {
         &mut self,
         events: &mut [CoherenceEvent],
         sys: &mut dyn SystemAccess,
-    ) -> Vec<CoherenceReply> {
-        events.sort_by_key(|e| e.key);
-        let mut replies = Vec::new();
+        replies: &mut Vec<CoherenceReply>,
+    ) {
+        events.sort_unstable_by_key(|e| e.key);
         for &event in events.iter() {
             assert!(
                 self.owns(event.home),
@@ -264,7 +268,6 @@ impl DirectoryShard {
                 }
             }
         }
-        replies
     }
 
     /// One request transaction: the protocol flow plus the controller-
@@ -382,6 +385,17 @@ mod tests {
         }
     }
 
+    /// Runs `events` through `shard`, returning the replies.
+    fn process(
+        shard: &mut DirectoryShard,
+        events: &mut [CoherenceEvent],
+        sys: &mut MiniSystem,
+    ) -> Vec<CoherenceReply> {
+        let mut replies = Vec::new();
+        shard.process(events, sys, &mut replies);
+        replies
+    }
+
     fn shard(nodes: Range<usize>) -> DirectoryShard {
         DirectoryShard::new(
             nodes,
@@ -404,11 +418,11 @@ mod tests {
 
         let mut sys_a = MiniSystem::new();
         let mut shard_a = shard(0..2);
-        let replies_a = shard_a.process(&mut batch, &mut sys_a);
+        let replies_a = process(&mut shard_a, &mut batch, &mut sys_a);
 
         let mut sys_b = MiniSystem::new();
         let mut shard_b = shard(0..2);
-        let replies_b = shard_b.process(&mut reversed, &mut sys_b);
+        let replies_b = process(&mut shard_b, &mut reversed, &mut sys_b);
 
         assert_eq!(replies_a, replies_b);
         assert_eq!(sys_a.dram_accesses, sys_b.dram_accesses);
@@ -429,7 +443,8 @@ mod tests {
         // the two runs is exactly the queueing delay.
         let mut sys = MiniSystem::new();
         let mut s = shard(0..1);
-        let queued = s.process(
+        let queued = process(
+            &mut s,
             &mut [
                 request_event(0, 100, 1, 10, 0),
                 request_event(0, 164, 2, 10, 0),
@@ -439,7 +454,8 @@ mod tests {
 
         let mut sys = MiniSystem::new();
         let mut s = shard(0..1);
-        let spaced = s.process(
+        let spaced = process(
+            &mut s,
             &mut [
                 request_event(0, 100, 1, 10, 0),
                 request_event(0, 164, 2, 10_000, 0),
@@ -460,7 +476,7 @@ mod tests {
     fn evict_notices_free_directory_entries_without_replies() {
         let mut sys = MiniSystem::new();
         let mut s = shard(0..1);
-        let replies = s.process(&mut [request_event(0, 100, 1, 10, 0)], &mut sys);
+        let replies = process(&mut s, &mut [request_event(0, 100, 1, 10, 0)], &mut sys);
         assert_eq!(replies.len(), 1);
         assert!(s.controllers()[0]
             .probe_filter()
@@ -476,7 +492,7 @@ mod tests {
                 dirty: false,
             },
         };
-        let replies = s.process(&mut [notice], &mut sys);
+        let replies = process(&mut s, &mut [notice], &mut sys);
         assert!(replies.is_empty());
         assert!(s.controllers()[0]
             .probe_filter()
@@ -488,6 +504,10 @@ mod tests {
     #[should_panic(expected = "routed to shard")]
     fn misrouted_events_are_rejected() {
         let mut sys = MiniSystem::new();
-        shard(0..2).process(&mut [request_event(3, 1, 1, 0, 0)], &mut sys);
+        process(
+            &mut shard(0..2),
+            &mut [request_event(3, 1, 1, 0, 0)],
+            &mut sys,
+        );
     }
 }

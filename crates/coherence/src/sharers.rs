@@ -10,17 +10,35 @@
 
 use allarm_types::ids::{CoreId, NodeId};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Bits per word of the inline / wide representations.
 const WORD_BITS: usize = 64;
 
 /// A width-generic bit set: one inline word up to 64 members, a word vector
-/// beyond. Kept canonical (a set whose members all fit one word is always
-/// `Inline`) so the derived equality and hash match set equality.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// beyond. A set that has gone wide stays wide — removals and
+/// [`Bits::reset_to`] keep its words, so a directory entry that is reused
+/// for another line does not allocate again — which is why equality and
+/// hashing compare the members (the words up to the last non-zero one),
+/// not the representation.
+#[derive(Debug, Clone)]
 enum Bits {
     Inline(u64),
     Wide(Vec<u64>),
+}
+
+impl PartialEq for Bits {
+    fn eq(&self, other: &Self) -> bool {
+        self.significant_words() == other.significant_words()
+    }
+}
+
+impl Eq for Bits {}
+
+impl Hash for Bits {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.significant_words().hash(state);
+    }
 }
 
 impl Bits {
@@ -57,7 +75,21 @@ impl Bits {
                 if let Some(word) = words.get_mut(index / WORD_BITS) {
                     *word &= !(1 << (index % WORD_BITS));
                 }
-                self.normalize();
+            }
+        }
+    }
+
+    /// Makes the set `{index}`, reusing a wide set's words.
+    fn reset_to(&mut self, index: usize) {
+        match self {
+            Bits::Inline(word) if index < WORD_BITS => *word = 1 << index,
+            Bits::Inline(_) => {
+                *self = Bits::empty();
+                self.set(index);
+            }
+            Bits::Wide(words) => {
+                words.fill(0);
+                self.set(index);
             }
         }
     }
@@ -85,27 +117,26 @@ impl Bits {
         }
     }
 
-    /// Restores the canonical form after removals: trailing zero words are
-    /// dropped and a single-word set collapses back to `Inline`, so two
-    /// sets with the same members always compare (and hash) equal
-    /// regardless of how they were built.
-    fn normalize(&mut self) {
-        if let Bits::Wide(words) = self {
-            while words.len() > 1 && *words.last().expect("non-empty") == 0 {
-                words.pop();
-            }
-            if words.len() == 1 {
-                *self = Bits::Inline(words[0]);
-            }
+    fn words(&self) -> &[u64] {
+        match self {
+            Bits::Inline(word) => std::slice::from_ref(word),
+            Bits::Wide(words) => words,
         }
     }
 
+    /// The words up to the last non-zero one: the members, independent of
+    /// the representation.
+    fn significant_words(&self) -> &[u64] {
+        let words = self.words();
+        let len = words
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |last| last + 1);
+        &words[..len]
+    }
+
     fn iter_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        let words: &[u64] = match self {
-            Bits::Inline(word) => std::slice::from_ref(word),
-            Bits::Wide(words) => words,
-        };
-        words.iter().enumerate().flat_map(|(wi, &word)| {
+        self.words().iter().enumerate().flat_map(|(wi, &word)| {
             (0..WORD_BITS)
                 .filter(move |bit| (word >> bit) & 1 == 1)
                 .map(move |bit| wi * WORD_BITS + bit)
@@ -164,6 +195,13 @@ impl SharerSet {
         let mut s = SharerSet::empty();
         s.insert(core);
         s
+    }
+
+    /// Makes this the set containing only `core` — [`SharerSet::only`] in
+    /// place. A wide set keeps its heap words, so resetting a reused
+    /// directory entry does not allocate.
+    pub fn set_only(&mut self, core: CoreId) {
+        self.0.reset_to(core.index());
     }
 
     /// Adds a core to the set, growing the representation if the core index
@@ -357,6 +395,33 @@ mod tests {
             h.finish()
         };
         assert_eq!(hash(&grew), hash(&inline));
+    }
+
+    #[test]
+    fn set_only_reuses_wide_words_and_matches_only() {
+        let mut s = SharerSet::only(CoreId::new(200));
+        s.insert(CoreId::new(9));
+        s.set_only(CoreId::new(130));
+        assert_eq!(s, SharerSet::only(CoreId::new(130)));
+        s.set_only(CoreId::new(4));
+        assert_eq!(s, SharerSet::only(CoreId::new(4)));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![CoreId::new(4)]);
+        assert_eq!(s.count(), 1);
+        let mut inline = SharerSet::only(CoreId::new(1));
+        inline.set_only(CoreId::new(70));
+        assert_eq!(inline, SharerSet::only(CoreId::new(70)));
+        inline.set_only(CoreId::new(2));
+        assert_eq!(inline, SharerSet::only(CoreId::new(2)));
+    }
+
+    /// Directory entries embed a `SharerSet`: the wide representation must
+    /// not grow it past one `Vec`.
+    #[test]
+    fn sharer_set_is_one_vec_wide() {
+        assert_eq!(
+            std::mem::size_of::<SharerSet>(),
+            std::mem::size_of::<Vec<u64>>()
+        );
     }
 
     #[test]

@@ -632,6 +632,8 @@ struct ShardWorker<'a> {
     fault_scratch: Vec<Keyed<PageFault>>,
     inbox_scratch: Vec<CoherenceEvent>,
     reply_scratch: Vec<CoherenceReply>,
+    /// Replies the directory slice produced this round, before routing.
+    dir_reply_scratch: Vec<CoherenceReply>,
     routed_scratch: Vec<Vec<CoherenceReply>>,
 }
 
@@ -770,6 +772,7 @@ impl<'a> ShardWorker<'a> {
             fault_scratch: Vec::new(),
             inbox_scratch: Vec::new(),
             reply_scratch: Vec::new(),
+            dir_reply_scratch: Vec::new(),
             routed_scratch: vec![Vec::new(); num_shards],
         }
     }
@@ -1021,99 +1024,114 @@ impl<'a> ShardWorker<'a> {
         }
         // Mailbox (source-shard) order depends on the shard count; commit
         // order must not. Group by core, then replay each core's replies
-        // in the key order its requests were issued in.
-        replies.sort_by_key(|reply| (reply.core.index(), reply.key));
-        for reply in &replies {
-            let local = self.slot_of_core[reply.core.index()]
+        // in the key order its requests were issued in. `(core, key)` is
+        // unique per reply — a key names its core and that core's own
+        // sequence number — so the unstable sort gives exactly the order a
+        // stable one would.
+        replies.sort_unstable_by_key(|reply| (reply.core.index(), reply.key));
+        for run in replies.chunk_by(|a, b| a.core == b.core) {
+            let local = self.slot_of_core[run[0].core.index()]
                 .expect("replies are routed to the shard owning the core");
             let slot = &mut self.slots[local];
             // Window keys are strictly increasing, and the directory
             // answers every request the round it receives it, so the
-            // sorted replies walk the window front to back.
-            let pending = slot.window.remove(0);
+            // sorted replies walk the whole window front to back; it is
+            // cleared once they have all committed.
             assert_eq!(
-                pending.key, reply.key,
-                "replies commit in the order their requests were issued"
+                run.len(),
+                slot.window.len(),
+                "every in-flight miss is answered the round after it is issued"
             );
-            // The transaction completes at `arrival + latency`, an absolute
-            // time (the key's timestamp is the arrival). The core clock
-            // advances to the latest completion seen so far — not by the
-            // sum of the window's latencies: the misses overlapped at the
-            // controller, so their queueing delays overlap too. Summing
-            // them would charge the shared wait once per miss, and — since
-            // inflated clocks inflate the next round's arrivals and the
-            // controllers' occupancy horizons — compound round over round.
-            // At window depth 1 the maximum is always the single reply's
-            // completion, reproducing the unbatched kernel's clock exactly.
-            let completion = reply.key.time + reply.latency;
-            let now = self.scheduler.time_of(local);
-            if completion > now {
-                self.scheduler.advance(local, completion - now);
-            }
-            self.scheduler.unpark(local);
-            let completed = self.scheduler.time_of(local);
+            for (index, reply) in run.iter().enumerate() {
+                let pending = slot.window[index];
+                assert_eq!(
+                    pending.key, reply.key,
+                    "replies commit in the order their requests were issued"
+                );
+                // The transaction completes at `arrival + latency`, an absolute
+                // time (the key's timestamp is the arrival). The core clock
+                // advances to the latest completion seen so far — not by the
+                // sum of the window's latencies: the misses overlapped at the
+                // controller, so their queueing delays overlap too. Summing
+                // them would charge the shared wait once per miss, and — since
+                // inflated clocks inflate the next round's arrivals and the
+                // controllers' occupancy horizons — compound round over round.
+                // At window depth 1 the maximum is always the single reply's
+                // completion, reproducing the unbatched kernel's clock exactly.
+                let completion = reply.key.time + reply.latency;
+                let now = self.scheduler.time_of(local);
+                if completion > now {
+                    self.scheduler.advance(local, completion - now);
+                }
+                self.scheduler.unpark(local);
+                let completed = self.scheduler.time_of(local);
 
-            let mut caches = self.caches[slot.core.index()]
-                .lock()
-                .expect("cache lock poisoned");
-            if reply.carries_data {
-                caches.fill(pending.line, reply.fill_state);
-                // A Shared data reply also fills the node's LLC slice, so
-                // later read misses from any core on this node are served
-                // locally. Exclusive/Modified fills never enter the slice:
-                // a resident copy could go stale through a silent E→M
-                // upgrade that no directory message announces. The slice
-                // is this shard's own node's — shard-local, deterministic.
-                if self.llc_enabled && reply.fill_state == CoherenceState::Shared {
-                    self.llc[slot.node.index()]
-                        .lock()
-                        .expect("LLC slice lock poisoned")
-                        .fill(pending.line);
+                let mut caches = self.caches[slot.core.index()]
+                    .lock()
+                    .expect("cache lock poisoned");
+                if reply.carries_data {
+                    caches.fill(pending.line, reply.fill_state);
+                    // A Shared data reply also fills the node's LLC slice, so
+                    // later read misses from any core on this node are served
+                    // locally. Exclusive/Modified fills never enter the slice:
+                    // a resident copy could go stale through a silent E→M
+                    // upgrade that no directory message announces. The slice
+                    // is this shard's own node's — shard-local, deterministic.
+                    if self.llc_enabled && reply.fill_state == CoherenceState::Shared {
+                        self.llc[slot.node.index()]
+                            .lock()
+                            .expect("LLC slice lock poisoned")
+                            .fill(pending.line);
+                    }
+                } else if !caches.grant_write(pending.line) {
+                    // The Shared copy was invalidated while the upgrade was
+                    // parked (an earlier-keyed writer won ownership of the
+                    // line this round). The directory has already recorded
+                    // this core as the new owner, so install the line
+                    // Modified — the refetched data a real upgrade-miss
+                    // reply would carry — keeping cache state and directory
+                    // bookkeeping consistent.
+                    caches.fill(pending.line, CoherenceState::Modified);
                 }
-            } else if !caches.grant_write(pending.line) {
-                // The Shared copy was invalidated while the upgrade was
-                // parked (an earlier-keyed writer won ownership of the
-                // line this round). The directory has already recorded
-                // this core as the new owner, so install the line
-                // Modified — the refetched data a real upgrade-miss
-                // reply would carry — keeping cache state and directory
-                // bookkeeping consistent.
-                caches.fill(pending.line, CoherenceState::Modified);
-            }
-            // Lines displaced entirely out of this core's hierarchy:
-            // dirty (exclusively-owned) victims are written back, which
-            // also notifies the home directory and frees its entry — the
-            // baseline's eviction-notification optimisation. Clean
-            // victims are dropped silently, as in the deployed Hammer
-            // protocol, so their directory entries go stale until the
-            // probe filter's own replacement recycles them. That stale
-            // occupancy is precisely the pressure ALLARM removes for
-            // thread-local data.
-            //
-            // A victim that is itself part of this commit batch — the
-            // just-filled line, or a line the rest of the window is about
-            // to reinstall — must not be reported: its directory entry is
-            // live for the in-flight transaction, and the notice would
-            // free it out from under the reply. (Unreachable at window
-            // depth 1, where the remaining window is always empty.)
-            for victim in caches.take_capacity_victims() {
-                if victim.state.is_dirty()
-                    && victim.addr != pending.line
-                    && !slot.window.iter().any(|p| p.line == victim.addr)
-                {
-                    let home = allocator.home_of_line(victim.addr);
-                    let event = CoherenceEvent {
-                        home,
-                        key: slot.next_key(completed),
-                        op: CoherenceOp::EvictNotice {
-                            line: victim.addr,
-                            core: slot.core,
-                            dirty: true,
-                        },
-                    };
-                    outboxes[self.shard_of_node[home.index()]].push(event);
+                // Lines displaced entirely out of this core's hierarchy:
+                // dirty (exclusively-owned) victims are written back, which
+                // also notifies the home directory and frees its entry — the
+                // baseline's eviction-notification optimisation. Clean
+                // victims are dropped silently, as in the deployed Hammer
+                // protocol, so their directory entries go stale until the
+                // probe filter's own replacement recycles them. That stale
+                // occupancy is precisely the pressure ALLARM removes for
+                // thread-local data.
+                //
+                // A victim that is itself part of this commit batch — the
+                // just-filled line, or a line the rest of the window (the
+                // entries after this one) is about to reinstall — must not
+                // be reported: its directory entry is live for the in-flight
+                // transaction, and the notice would free it out from under
+                // the reply. (Unreachable at window depth 1, where the rest
+                // of the window is always empty.)
+                for victim in caches.take_capacity_victims() {
+                    if victim.state.is_dirty()
+                        && victim.addr != pending.line
+                        && !slot.window[index + 1..]
+                            .iter()
+                            .any(|p| p.line == victim.addr)
+                    {
+                        let home = allocator.home_of_line(victim.addr);
+                        let event = CoherenceEvent {
+                            home,
+                            key: slot.next_key(completed),
+                            op: CoherenceOp::EvictNotice {
+                                line: victim.addr,
+                                core: slot.core,
+                                dirty: true,
+                            },
+                        };
+                        outboxes[self.shard_of_node[home.index()]].push(event);
+                    }
                 }
             }
+            slot.window.clear();
         }
         self.reply_scratch = replies;
     }
@@ -1198,8 +1216,7 @@ impl<'a> ShardWorker<'a> {
             }
 
             // Walk the private hierarchy.
-            let need = caches.coherence_need(line, access.write);
-            let outcome = caches.access(line, access.write);
+            let (outcome, need) = caches.access_with_need(line, access.write);
             slot.cursor += 1;
             self.accesses += 1;
             let mut latency = self.l1_latency;
@@ -1334,11 +1351,12 @@ impl<'a> ShardWorker<'a> {
             inbox.append(&mut mailbox.lock().expect("event mailbox poisoned"));
         }
         self.events_merged += inbox.len() as u64;
-        let replies = self.dir.process(&mut inbox, &mut self.sys);
+        let mut replies = mem::take(&mut self.dir_reply_scratch);
+        self.dir.process(&mut inbox, &mut self.sys, &mut replies);
         self.inbox_scratch = inbox;
 
         let mut routed = mem::take(&mut self.routed_scratch);
-        for reply in replies {
+        for reply in replies.drain(..) {
             let node = self.topology.node_of_core(reply.core);
             routed[self.shard_of_node[node.index()]].push(reply);
         }
@@ -1349,6 +1367,7 @@ impl<'a> ShardWorker<'a> {
             mem::swap(&mut *mailbox, bin);
         }
         self.routed_scratch = routed;
+        self.dir_reply_scratch = replies;
 
         for local in 0..self.slots.len() {
             if self.slots[local].faulted {

@@ -66,9 +66,12 @@ impl<T> Keyed<T> {
 /// The result is independent of how the events were distributed across the
 /// input batches and of the order of the batches themselves — the property
 /// that makes an N-shard run produce the same event order as a 1-shard run.
+/// Keys are expected to be distinct (per-actor sequence numbers make them
+/// so), which is also why the unstable sort used here yields exactly the
+/// order a stable one would.
 pub fn merge_events<T>(batches: impl IntoIterator<Item = Vec<Keyed<T>>>) -> Vec<Keyed<T>> {
     let mut merged: Vec<Keyed<T>> = batches.into_iter().flatten().collect();
-    merged.sort_by_key(|e| e.key);
+    merged.sort_unstable_by_key(|e| e.key);
     merged
 }
 
