@@ -6,6 +6,8 @@
 //! Uses the workspace's own grouped harness (`allarm-harness`) — criterion
 //! is unavailable offline.
 
+#![forbid(unsafe_code)]
+
 use allarm_cache::{CoherenceState, CoreCaches};
 use allarm_coherence::ProbeFilter;
 use allarm_harness::{benchmark_main, black_box, Group};

@@ -6,6 +6,8 @@
 //! Uses the workspace's own grouped harness (`allarm-harness`) — criterion
 //! is unavailable offline.
 
+#![forbid(unsafe_code)]
+
 use allarm_core::{
     compare_benchmark, multiprocess_sweep, pf_size_sweep, ExperimentConfig, FIG3H_COVERAGES,
     FIG4_COVERAGES,

@@ -34,6 +34,8 @@
 //! Skipping the file write: pass any filter (`cargo bench -p allarm-bench
 //! --bench perf_trajectory -- barnes`), which marks the run partial.
 
+#![forbid(unsafe_code)]
+
 use allarm_bench::load_scenario_doc;
 use allarm_core::{AllocationPolicy, BatchRunner, MachineConfig, SimulationBuilder};
 use allarm_harness::{benchmark_main, black_box, stats_to_json, Group};

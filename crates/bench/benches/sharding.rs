@@ -11,6 +11,8 @@
 //! Uses the workspace's own grouped harness (`allarm-harness`) — criterion
 //! is unavailable offline.
 
+#![forbid(unsafe_code)]
+
 use allarm_core::{AllocationPolicy, MachineConfig, SimulationBuilder};
 use allarm_engine::CoreScheduler;
 use allarm_harness::{benchmark_main, black_box, Group};

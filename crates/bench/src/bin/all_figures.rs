@@ -1,6 +1,8 @@
 //! Regenerates every table and figure in one run and prints them in paper
 //! order. The output of this binary is the basis of EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 use allarm_bench::{all_comparisons, figure_config};
 use allarm_core::report::{format_coverage, render_sweep_table, render_table, FigureSeries};
 use allarm_core::{multiprocess_sweep, pf_size_sweep, FIG3H_COVERAGES, FIG4_COVERAGES};

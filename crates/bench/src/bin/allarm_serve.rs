@@ -18,6 +18,8 @@
 //! --output` writes for the same document (and the same
 //! `accesses`/`sim_threads` overrides).
 
+#![forbid(unsafe_code)]
+
 use allarm_server::{Server, ServerConfig};
 use std::process::ExitCode;
 

@@ -3,6 +3,8 @@
 //! profiles; kept in the tree because it is the fastest way to see the
 //! whole reproduction at a glance.
 
+#![forbid(unsafe_code)]
+
 use allarm_bench::figure_config;
 use allarm_core::compare_benchmark;
 use allarm_types::stats::geometric_mean;

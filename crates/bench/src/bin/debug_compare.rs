@@ -2,6 +2,8 @@
 //! benchmark side by side. Not part of the published figures; useful when
 //! tuning workload profiles or chasing a latency asymmetry.
 
+#![forbid(unsafe_code)]
+
 use allarm_bench::figure_config;
 use allarm_core::compare_benchmark;
 use allarm_workloads::Benchmark;

@@ -7,6 +7,8 @@
 //! cargo run -p allarm-bench --bin export_scenarios
 //! ```
 
+#![forbid(unsafe_code)]
+
 use allarm_bench::{
     consolidation_grid, fig3_grid, fig3h_grid, fig4_grid, kv_store_grid, scale256_grid,
     scale256_pf_sweep_grid, scale64_grid, scale64_pf_sweep_grid, streamcluster_grid,

@@ -1,5 +1,7 @@
 //! Figure 2: ratio of local to remote directory requests per benchmark.
 
+#![forbid(unsafe_code)]
+
 use allarm_bench::{all_comparisons, figure_config};
 use allarm_core::report::{render_table, FigureSeries};
 

@@ -1,5 +1,7 @@
 //! Figure 3a: speedup of ALLARM over the baseline (16 threads).
 
+#![forbid(unsafe_code)]
+
 use allarm_bench::{all_comparisons, figure_config};
 use allarm_core::report::{render_table, FigureSeries};
 

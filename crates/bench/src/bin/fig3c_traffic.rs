@@ -1,5 +1,7 @@
 //! Figure 3c: network traffic (bytes) under ALLARM, normalised to baseline.
 
+#![forbid(unsafe_code)]
+
 use allarm_bench::{all_comparisons, figure_config};
 use allarm_core::report::{render_table, FigureSeries};
 

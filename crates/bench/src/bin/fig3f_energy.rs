@@ -1,6 +1,8 @@
 //! Figure 3f: dynamic energy of the NoC and probe filter, normalised to
 //! baseline.
 
+#![forbid(unsafe_code)]
+
 use allarm_bench::{all_comparisons, figure_config};
 use allarm_core::report::{render_table, FigureSeries};
 

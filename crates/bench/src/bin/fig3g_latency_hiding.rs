@@ -1,6 +1,8 @@
 //! Figure 3g: fraction of remote requests whose ALLARM local probe stayed
 //! off the critical path.
 
+#![forbid(unsafe_code)]
+
 use allarm_bench::{all_comparisons, figure_config};
 use allarm_core::report::{render_table, FigureSeries};
 

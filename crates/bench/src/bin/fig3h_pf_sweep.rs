@@ -1,6 +1,8 @@
 //! Figure 3h: speedup while shrinking the probe filter (512/256/128 kB),
 //! every bar normalised to the baseline with a 512 kB probe filter.
 
+#![forbid(unsafe_code)]
+
 use allarm_bench::figure_config;
 use allarm_core::report::{format_coverage, render_table, FigureSeries};
 use allarm_core::{pf_size_sweep, FIG3H_COVERAGES};

@@ -3,6 +3,8 @@
 //! the probe filter shrinks from 512 kB to 32 kB, normalised to the baseline
 //! at 512 kB.
 
+#![forbid(unsafe_code)]
+
 use allarm_bench::figure_config;
 use allarm_core::report::{format_coverage, render_sweep_table, FigureSeries};
 use allarm_core::{multiprocess_sweep, SweepPoint, FIG4_COVERAGES};

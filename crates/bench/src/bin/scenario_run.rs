@@ -37,6 +37,8 @@
 //!     --resume --restore results.jsonl.snap --output results.jsonl scenarios/scale64_pf_sweep.toml
 //! ```
 
+#![forbid(unsafe_code)]
+
 use allarm_bench::load_scenario_doc;
 use allarm_core::{
     verify_resume_rows, BatchRunner, CsvFileSink, JsonlFileSink, JsonlSink, ResultSink, ResumeScan,

@@ -12,6 +12,8 @@
 //! cargo run --release -p allarm-bench --bin snap_tool -- info results.jsonl.snap
 //! ```
 
+#![forbid(unsafe_code)]
+
 use allarm_core::snapshot::{read_header, read_section_table};
 use allarm_core::SNAP_VERSION;
 use std::process::ExitCode;

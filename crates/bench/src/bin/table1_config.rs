@@ -1,5 +1,7 @@
 //! Table I: the simulated system configuration.
 
+#![forbid(unsafe_code)]
+
 use allarm_types::config::MachineConfig;
 
 fn main() {

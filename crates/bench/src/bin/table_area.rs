@@ -2,6 +2,8 @@
 //! filter shrinks, i.e. the SRAM that ALLARM lets the designer hand back to
 //! the last-level cache.
 
+#![forbid(unsafe_code)]
+
 use allarm_energy::{area::PAPER_AREA_POINTS, probe_filter_area_mm2};
 
 fn main() {

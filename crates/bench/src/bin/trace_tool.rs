@@ -35,6 +35,8 @@
 //! pinatrace prints) is skipped, and `#`-lines are comments. Threads are
 //! pinned to cores 1:1 in thread order.
 
+#![forbid(unsafe_code)]
+
 use allarm_bench::load_scenario_doc;
 use allarm_workloads::tracefile::{self, TraceFormat, TraceSource, DEFAULT_FRAME_LEN};
 use allarm_workloads::{MemAccess, ThreadTrace, Workload};

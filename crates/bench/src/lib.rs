@@ -6,6 +6,7 @@
 //! `scenarios/` — executed in parallel by the [`allarm_core::BatchRunner`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use allarm_core::{
     AllocationPolicy, BatchRunner, Comparison, ExperimentConfig, Scenario, ScenarioGrid,

@@ -147,6 +147,14 @@ impl CoreCaches {
         (outcome, need_for(state, write))
     }
 
+    /// Hints the host CPU to load `line`'s L1 and L2 sets, so a fill or
+    /// access that follows soon finds them in the host's caches. Changes
+    /// nothing the simulation can observe.
+    pub fn prefetch(&self, line: LineAddr) {
+        self.l1d.prefetch(line);
+        self.l2.prefetch(line);
+    }
+
     /// Returns the coherence transaction (if any) the directory must perform
     /// for this access, given the line's current state in this hierarchy.
     pub fn coherence_need(&self, line: LineAddr, write: bool) -> Option<CoherenceNeed> {
@@ -321,6 +329,34 @@ mod tests {
         assert_eq!(outcome, AccessOutcome::L2Hit);
         // After promotion it hits in L1.
         assert_eq!(c.access(LineAddr::new(0), false), AccessOutcome::L1Hit);
+    }
+
+    #[test]
+    fn prefetch_is_invisible() {
+        let cfg = MachineConfig::small_test();
+        // The test machine's geometry, and one with non-power-of-two set
+        // counts (modulo set indexing).
+        let odd = CacheConfig::new(3 * 64 * 4, 4, 1);
+        let odd_l2 = CacheConfig::new(5 * 64 * 8, 8, 4);
+        for (l1, l2) in [(cfg.l1d, cfg.l2), (odd, odd_l2)] {
+            let mut c = CoreCaches::new(&l1, &l2);
+            for i in 0..(l1.num_lines() + 16) {
+                let line = LineAddr::new(i * 7);
+                c.access(line, i % 3 == 0);
+                c.fill(line, CoherenceState::Exclusive);
+            }
+            let state = c.export_state();
+            let (l1_stats, l2_stats) = (*c.l1_stats(), *c.l2_stats());
+            // The newest and the oldest fill (both resident), absent lines,
+            // and the extremes.
+            let resident = l1.num_lines() + 15;
+            for line in [resident * 7, 0, 1, 1 << 40, u64::MAX] {
+                c.prefetch(LineAddr::new(line));
+            }
+            assert!(c.contains(LineAddr::new(resident * 7)) && c.contains(LineAddr::new(0)));
+            assert_eq!(c.export_state(), state);
+            assert_eq!((*c.l1_stats(), *c.l2_stats()), (l1_stats, l2_stats));
+        }
     }
 
     #[test]

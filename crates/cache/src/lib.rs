@@ -9,7 +9,9 @@
 //!   replacement ([`ReplacementPolicy`]), used both for the data caches here
 //!   and for the probe-filter array in `allarm-coherence`;
 //! * [`CoreCaches`] — the per-core L1D + exclusive L2 hierarchy with the
-//!   fill/eviction/invalidation operations the directory controller needs.
+//!   fill/eviction/invalidation operations the directory controller needs;
+//! * [`prefetch()`] — a host-memory prefetch hint the simulation kernel uses
+//!   to overlap the host cache misses of the sets a batch will touch.
 //!
 //! # Examples
 //!
@@ -29,10 +31,13 @@
 //! ```
 
 #![warn(missing_docs)]
+// The crate's one `unsafe` block is the host prefetch hint in `prefetch`.
+#![deny(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod hierarchy;
 pub mod llc;
+pub mod prefetch;
 pub mod replacement;
 pub mod set_assoc;
 pub mod state;
@@ -40,6 +45,7 @@ pub mod stats;
 
 pub use hierarchy::{AccessOutcome, CoherenceNeed, CoreCaches, CoreCachesState, ProbeOutcome};
 pub use llc::LlcSlice;
+pub use prefetch::prefetch;
 pub use replacement::ReplacementPolicy;
 pub use set_assoc::{EvictedLine, SetAssocCache, SetAssocState, WayState};
 pub use state::CoherenceState;

@@ -1,5 +1,6 @@
 //! A generic set-associative array of cache lines.
 
+use crate::prefetch::prefetch;
 use crate::replacement::ReplacementPolicy;
 use crate::state::CoherenceState;
 use crate::stats::CacheStats;
@@ -184,6 +185,16 @@ impl SetAssocCache {
                 None
             }
         }
+    }
+
+    /// Hints the host CPU to load the storage `line`'s set lives in (its
+    /// ways and occupancy count), so a lookup that follows soon finds it
+    /// in the host's caches. Changes nothing the simulation can observe.
+    pub(crate) fn prefetch(&self, line: LineAddr) {
+        let set = self.set_index(line);
+        let base = set * self.ways;
+        prefetch(&self.slab[base..base + self.ways]);
+        prefetch(&self.lens[set..=set]);
     }
 
     /// Checks whether `line` is present without updating recency or

@@ -19,6 +19,7 @@
 //! independently of the full entry read.
 
 use crate::sharers::{NodeSet, SharerSet};
+use allarm_cache::prefetch;
 use allarm_types::addr::LineAddr;
 use allarm_types::config::{PfReplacement, ProbeFilterConfig};
 use allarm_types::ids::CoreId;
@@ -239,6 +240,14 @@ impl ProbeFilter {
             self.stats.misses.incr();
             None
         }
+    }
+
+    /// Hints the host CPU to load `line`'s set, so a lookup that follows
+    /// soon finds it in the host's caches. Changes nothing the simulation
+    /// can observe: no recency, no statistics.
+    pub fn prefetch(&self, line: LineAddr) {
+        let base = self.set_base(line);
+        prefetch(&self.slab[base..base + self.ways]);
     }
 
     /// Checks for an entry without touching recency or statistics.
@@ -526,6 +535,26 @@ mod tests {
     /// A tiny filter with the default (pseudo-random) replacement.
     fn tiny_random() -> ProbeFilter {
         ProbeFilter::new(&ProbeFilterConfig::new(4 * 64, 2))
+    }
+
+    #[test]
+    fn prefetch_is_invisible() {
+        // A power-of-two (masked) and a non-power-of-two (modulo) geometry.
+        for (coverage, ways) in [(16 * 64, 4), (15 * 64, 5)] {
+            let mut pf = ProbeFilter::new(&ProbeFilterConfig::new(coverage, ways));
+            for i in 0..10 {
+                pf.allocate(LineAddr::new(i * 3), CoreId::new(i as u16 % 4));
+            }
+            pf.lookup(LineAddr::new(3));
+            pf.lookup(LineAddr::new(4));
+            let state = pf.export_state();
+            let stats = *pf.stats();
+            for line in [0, 3, 27, 1, 4, 1 << 40, u64::MAX] {
+                pf.prefetch(LineAddr::new(line));
+            }
+            assert_eq!(pf.export_state(), state);
+            assert_eq!(*pf.stats(), stats);
+        }
     }
 
     #[test]

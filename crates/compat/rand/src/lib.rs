@@ -22,6 +22,8 @@
 //! assert!((0.0..1.0).contains(&p));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::ops::Range;
 

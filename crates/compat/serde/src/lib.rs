@@ -35,6 +35,8 @@
 //! assert_eq!(Point::from_value(&v).unwrap(), Point { x: 1, y: 2 });
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::fmt;

@@ -14,6 +14,8 @@
 //! `#[serde(...)]` attributes, and tuple structs with more than one field
 //! are rejected with a compile error rather than silently mis-handled.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// The parsed shape of the item the derive is attached to.

@@ -19,6 +19,8 @@
 //! assert_eq!(back, s);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Serialize, Value};
 
 pub use serde::Error;

@@ -29,6 +29,8 @@
 //! assert_eq!(back, cfg);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Serialize, Value};
 
 pub use serde::Error;

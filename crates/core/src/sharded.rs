@@ -1042,6 +1042,15 @@ impl<'a> ShardWorker<'a> {
                 slot.window.len(),
                 "every in-flight miss is answered the round after it is issued"
             );
+            // One lock for the core's whole batch. The window names every
+            // line the batch fills, so their L1 and L2 sets are hinted to
+            // the host's caches before the first commit touches one.
+            let mut caches = self.caches[slot.core.index()]
+                .lock()
+                .expect("cache lock poisoned");
+            for pending in &slot.window {
+                caches.prefetch(pending.line);
+            }
             for (index, reply) in run.iter().enumerate() {
                 let pending = slot.window[index];
                 assert_eq!(
@@ -1066,9 +1075,6 @@ impl<'a> ShardWorker<'a> {
                 self.scheduler.unpark(local);
                 let completed = self.scheduler.time_of(local);
 
-                let mut caches = self.caches[slot.core.index()]
-                    .lock()
-                    .expect("cache lock poisoned");
                 if reply.carries_data {
                     caches.fill(pending.line, reply.fill_state);
                     // A Shared data reply also fills the node's LLC slice, so

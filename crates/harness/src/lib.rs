@@ -18,6 +18,8 @@
 //! group.finish();
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::hint;
 use std::time::{Duration, Instant};
 

@@ -2,7 +2,7 @@
 
 use crate::message::MessageClass;
 use crate::stats::NocStats;
-use crate::topology::Fabric;
+use crate::topology::{Coord, Fabric};
 use allarm_types::config::NocConfig;
 use allarm_types::error::ConfigError;
 use allarm_types::ids::NodeId;
@@ -31,7 +31,25 @@ use allarm_types::Nanos;
 pub struct Network {
     config: NocConfig,
     fabric: Fabric,
+    /// Router-grid coordinates of every node, indexed by node (a CMesh
+    /// node takes its router's), so a message's hop count is a coordinate
+    /// difference instead of the fabric's divisions.
+    routers: Vec<Coord>,
+    /// The grid dimensions when both axes wrap (torus); `None` otherwise.
+    wrap: Option<Coord>,
+    /// Size, flits and serialisation delay of each class, by
+    /// [`MessageClass::index`].
+    costs: [ClassCost; MessageClass::ALL.len()],
     stats: NocStats,
+}
+
+/// What one message of a class costs, fixed by the configuration.
+#[derive(Debug, Clone, Copy)]
+struct ClassCost {
+    bytes: u64,
+    flits: u64,
+    /// The message body streaming over the final link at link bandwidth.
+    serialisation: Nanos,
 }
 
 impl Network {
@@ -39,8 +57,9 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate geometry (zero dimensions or concentration);
-    /// [`Network::try_new`] returns the typed error instead.
+    /// Panics on degenerate geometry (zero dimensions or concentration) or
+    /// a zero flit size or link bandwidth; [`Network::try_new`] returns the
+    /// typed error instead.
     pub fn new(config: NocConfig) -> Self {
         Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -50,10 +69,45 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if the fabric geometry is degenerate.
+    /// Returns a [`ConfigError`] if the fabric geometry is degenerate, or
+    /// if the flit size or link bandwidth is zero.
     pub fn try_new(config: NocConfig) -> Result<Self, ConfigError> {
+        let fabric = Fabric::from_config(&config)?;
+        if config.flit_bytes == 0 {
+            return Err(ConfigError::new("noc.flit_bytes", "must be non-zero"));
+        }
+        if config.link_bandwidth_bytes_per_ns == 0 {
+            return Err(ConfigError::new("noc.link_bandwidth", "must be non-zero"));
+        }
+        // A `NodeId` is 16 bits: nodes past `u16::MAX` are unaddressable.
+        let routers = (0..fabric.num_nodes())
+            .map_while(|n| u16::try_from(n).ok())
+            .map(|n| fabric.router_coord(NodeId::new(n)))
+            .collect();
+        let wrap = match fabric {
+            Fabric::Torus(t) => Some(Coord {
+                x: t.width(),
+                y: t.height(),
+            }),
+            Fabric::Mesh(_) | Fabric::CMesh(_) => None,
+        };
+        let costs = MessageClass::ALL.map(|class| {
+            let bytes = if class.carries_data() {
+                config.data_msg_bytes
+            } else {
+                config.control_msg_bytes
+            };
+            ClassCost {
+                bytes,
+                flits: bytes.div_ceil(config.flit_bytes),
+                serialisation: Nanos::new(bytes.div_ceil(config.link_bandwidth_bytes_per_ns)),
+            }
+        });
         Ok(Network {
-            fabric: Fabric::from_config(&config)?,
+            fabric,
+            routers,
+            wrap,
+            costs,
             config,
             stats: NocStats::new(),
         })
@@ -71,32 +125,45 @@ impl Network {
 
     /// Size in bytes of a message of the given class.
     pub fn message_bytes(&self, class: MessageClass) -> u64 {
-        if class.carries_data() {
-            self.config.data_msg_bytes
-        } else {
-            self.config.control_msg_bytes
-        }
+        self.costs[class.index()].bytes
     }
 
     /// Number of flits a message of the given class occupies.
     pub fn message_flits(&self, class: MessageClass) -> u64 {
-        let bytes = self.message_bytes(class);
-        bytes.div_ceil(self.config.flit_bytes)
+        self.costs[class.index()].flits
+    }
+
+    /// Links a message from `src` to `dst` traverses — the fabric's
+    /// [`Fabric::hops`], from the precomputed router coordinates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is outside the fabric.
+    fn hops(&self, src: NodeId, dst: NodeId) -> u32 {
+        let a = self.routers[src.index()];
+        let b = self.routers[dst.index()];
+        let dx = a.x.abs_diff(b.x);
+        let dy = a.y.abs_diff(b.y);
+        match self.wrap {
+            Some(dims) => dx.min(dims.x - dx) + dy.min(dims.y - dy),
+            None => dx + dy,
+        }
+    }
+
+    /// Latency of a `hops`-link message of `class`: one link traversal per
+    /// hop for the head, then the body's serialisation over the final
+    /// link. Zero for a node-local message.
+    fn latency_of(&self, hops: u32, class: MessageClass) -> Nanos {
+        if hops == 0 {
+            return Nanos::ZERO;
+        }
+        self.config.link_latency * u64::from(hops) + self.costs[class.index()].serialisation
     }
 
     /// Latency of a message from `src` to `dst` without recording it
     /// (useful for "what-if" critical-path calculations).
     pub fn latency(&self, src: NodeId, dst: NodeId, class: MessageClass) -> Nanos {
-        let hops = self.fabric.hops(src, dst);
-        if hops == 0 {
-            return Nanos::ZERO;
-        }
-        let bytes = self.message_bytes(class);
-        // Head latency: one link traversal per hop; serialisation: the
-        // message body streams over the final link at the link bandwidth.
-        let head = self.config.link_latency * u64::from(hops);
-        let serialisation = Nanos::new(bytes.div_ceil(self.config.link_bandwidth_bytes_per_ns));
-        head + serialisation
+        self.latency_of(self.hops(src, dst), class)
     }
 
     /// Sends a message, recording its traffic, and returns its latency.
@@ -105,11 +172,10 @@ impl Network {
     /// interface: they still count toward byte traffic but traverse zero
     /// links, so they add no latency and no flit-hop (link) energy.
     pub fn send(&mut self, src: NodeId, dst: NodeId, class: MessageClass) -> Nanos {
-        let hops = self.fabric.hops(src, dst);
-        let bytes = self.message_bytes(class);
-        let flits = self.message_flits(class);
-        self.stats.record(class, bytes, hops, flits);
-        self.latency(src, dst, class)
+        let hops = self.hops(src, dst);
+        let cost = self.costs[class.index()];
+        self.stats.record(class, cost.bytes, hops, cost.flits);
+        self.latency_of(hops, class)
     }
 
     /// Sends a request/response round trip (`src -> dst -> src`), recording
@@ -260,5 +326,85 @@ mod tests {
         assert_eq!(lat, Nanos::ZERO);
         assert_eq!(n.stats().total_bytes(), 72);
         assert_eq!(n.stats().total_hops(), 0);
+    }
+    /// The latency formula [`Network::send`] has always implemented,
+    /// spelled out from the fabric's closed-form hop count: one link
+    /// latency per hop plus the body's serialisation at link bandwidth,
+    /// zero for a node-local message.
+    fn reference_latency(config: &NocConfig, hops: u32, bytes: u64) -> Nanos {
+        if hops == 0 {
+            return Nanos::ZERO;
+        }
+        config.link_latency * u64::from(hops)
+            + Nanos::new(bytes.div_ceil(config.link_bandwidth_bytes_per_ns))
+    }
+
+    /// Every `(src, dst, class)` of a fabric: `send`'s latency, `latency`,
+    /// and the traffic `send` records all match the closed form.
+    fn assert_matches_closed_form(config: NocConfig) {
+        let fabric = Fabric::from_config(&config).unwrap();
+        let mut net = Network::new(config);
+        let n = fabric.num_nodes() as u16;
+        for src in (0..n).map(NodeId::new) {
+            for dst in (0..n).map(NodeId::new) {
+                for class in MessageClass::ALL {
+                    let hops = fabric.hops(src, dst);
+                    let bytes = if class.carries_data() {
+                        config.data_msg_bytes
+                    } else {
+                        config.control_msg_bytes
+                    };
+                    let flits = bytes.div_ceil(config.flit_bytes);
+                    let expected = reference_latency(&config, hops, bytes);
+                    let what = format!("{} {src}->{dst} {class}", fabric.name());
+                    assert_eq!(net.latency(src, dst, class), expected, "{what}");
+                    let before = net.stats().clone();
+                    assert_eq!(net.send(src, dst, class), expected, "{what}");
+                    let after = net.stats();
+                    assert_eq!(after.total_messages(), before.total_messages() + 1);
+                    assert_eq!(after.messages_of(class), before.messages_of(class) + 1);
+                    assert_eq!(
+                        after.bytes_of(class),
+                        before.bytes_of(class) + bytes,
+                        "{what}"
+                    );
+                    assert_eq!(
+                        after.hops_of(class),
+                        before.hops_of(class) + u64::from(hops),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        after.total_flit_hops(),
+                        before.total_flit_hops() + flits * u64::from(hops),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        after.local_deliveries(),
+                        before.local_deliveries() + u64::from(hops == 0),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn send_and_latency_match_the_closed_form_on_every_fabric() {
+        assert_matches_closed_form(NocConfig::mesh(4, 4));
+        assert_matches_closed_form(NocConfig::torus(8, 8));
+        assert_matches_closed_form(NocConfig::mesh(5, 3));
+        assert_matches_closed_form(NocConfig::torus(5, 3));
+        assert_matches_closed_form(NocConfig::cmesh(4, 2, 4));
+        // Sizes that do not divide evenly into flits or bandwidth, so
+        // every rounding in the formula is exercised.
+        let odd = NocConfig {
+            flit_bytes: 5,
+            control_msg_bytes: 11,
+            data_msg_bytes: 67,
+            link_bandwidth_bytes_per_ns: 3,
+            link_latency: Nanos::new(7),
+            ..NocConfig::cmesh(3, 2, 3)
+        };
+        assert_matches_closed_form(odd);
     }
 }

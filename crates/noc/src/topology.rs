@@ -425,6 +425,20 @@ impl Fabric {
         }
     }
 
+    /// Coordinates of the router `node` attaches to: the node's own on a
+    /// mesh or torus, its shared router's on a concentrated mesh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is outside the fabric.
+    pub(crate) fn router_coord(&self, node: NodeId) -> Coord {
+        match self {
+            Fabric::Mesh(m) => m.coord(node),
+            Fabric::Torus(t) => t.coord(node),
+            Fabric::CMesh(c) => c.routers().coord(c.router_of(node)),
+        }
+    }
+
     /// Average hop count over all ordered pairs of distinct nodes.
     pub fn mean_hops(&self) -> f64 {
         match self {

@@ -13,6 +13,8 @@
 //! cargo run --release -p allarm-examples --bin numa_placement_study
 //! ```
 
+#![forbid(unsafe_code)]
+
 use allarm_core::{AllocationPolicy, MachineConfig, SimulationBuilder};
 use allarm_mem::NumaPolicy;
 use allarm_types::ids::NodeId;

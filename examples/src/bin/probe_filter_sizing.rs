@@ -12,6 +12,8 @@
 //! cargo run --release -p allarm-examples --bin probe_filter_sizing
 //! ```
 
+#![forbid(unsafe_code)]
+
 use allarm_core::{multiprocess_sweep, ExperimentConfig, FIG4_COVERAGES};
 use allarm_energy::probe_filter_area_mm2;
 use allarm_workloads::Benchmark;

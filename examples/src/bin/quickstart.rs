@@ -6,6 +6,8 @@
 //! cargo run --release -p allarm-examples --bin quickstart
 //! ```
 
+#![forbid(unsafe_code)]
+
 use allarm_core::{AllocationPolicy, BatchRunner, Scenario, ScenarioGrid};
 use allarm_workloads::Benchmark;
 

@@ -1,1 +1,3 @@
 //! Example applications for the ALLARM simulator live in `src/bin/`.
+
+#![forbid(unsafe_code)]

@@ -2,6 +2,8 @@
 //! experiment driver must run and produce series with the structural
 //! properties the paper's figures rely on.
 
+#![forbid(unsafe_code)]
+
 use allarm_core::report::{format_coverage, render_table, FigureSeries};
 use allarm_core::{
     compare_benchmark, multiprocess_sweep, pf_size_sweep, ExperimentConfig, FIG3H_COVERAGES,

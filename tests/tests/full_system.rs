@@ -1,6 +1,8 @@
 //! End-to-end integration tests of the full simulator: the substrates wired
 //! together exactly as the figure harness uses them.
 
+#![forbid(unsafe_code)]
+
 use allarm_core::{
     compare_benchmark, multiprocess_sweep, pf_size_sweep, run_benchmark, AllocationPolicy,
     ExperimentConfig, MachineConfig, SimulationBuilder,

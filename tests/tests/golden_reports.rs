@@ -20,6 +20,8 @@
 //! (for the raytrace file, a copy of `scale256_comparison.toml` with
 //! `benchmarks = ["Raytrace"]`), and say so in CHANGES.md.
 
+#![forbid(unsafe_code)]
+
 use allarm_core::{BatchRunner, Benchmark, JsonlSink, Scenario, ScenarioGrid};
 use std::path::{Path, PathBuf};
 

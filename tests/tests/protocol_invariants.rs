@@ -7,6 +7,8 @@
 //! (the workspace builds offline, without proptest), so every run replays
 //! the same cases.
 
+#![forbid(unsafe_code)]
+
 use allarm_cache::{CoherenceState, CoreCaches, ProbeOutcome};
 use allarm_coherence::{
     AllocationPolicy, CoherenceRequest, DirectoryController, RequestKind, SystemAccess,

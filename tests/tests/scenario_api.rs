@@ -2,6 +2,8 @@
 //! through TOML and JSON, builder validation, and the batch runner's
 //! parallel-equals-serial determinism guarantee.
 
+#![forbid(unsafe_code)]
+
 use allarm_core::{
     AllocationPolicy, BatchRunner, JsonlSink, NumaPolicy, Scenario, ScenarioGrid, SimulationBuilder,
 };

@@ -12,6 +12,8 @@
 //! * malformed documents and unknown routes answer 400/404 through the
 //!   shared loader's error text.
 
+#![forbid(unsafe_code)]
+
 use allarm_core::{AllocationPolicy, BatchRunner, Benchmark, JsonlSink, Scenario, ScenarioGrid};
 use allarm_server::http::decode_chunked;
 use allarm_server::{HttpLimits, Server, ServerConfig};

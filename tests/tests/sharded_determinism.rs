@@ -11,6 +11,8 @@
 //! determinism gate complements this by diffing `scenario_run
 //! --sim-threads 4` output on the *full* fig3 grid.
 
+#![forbid(unsafe_code)]
+
 use allarm_bench::{
     fig3_grid, fig3h_grid, fig4_grid, scale256_grid, scale256_pf_sweep_grid, scale64_grid,
     scale64_pf_sweep_grid, streamcluster_grid, tracefile_comparison_grid,

@@ -9,6 +9,8 @@
 //! typed error naming the section, and fork-from-warm resumption equals a
 //! cold run.
 
+#![forbid(unsafe_code)]
+
 use allarm_core::snapshot::{read_header, read_section_table};
 use allarm_core::{
     AllocationPolicy, MachineConfig, SimReport, SimSnapshot, SimulationBuilder, Simulator,

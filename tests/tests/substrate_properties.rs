@@ -6,6 +6,8 @@
 //! from fixed seeds — fully deterministic, reproducible by seed, and with
 //! the failing case number printed on assertion failure.
 
+#![forbid(unsafe_code)]
+
 use allarm_cache::{CoherenceState, ReplacementPolicy, SetAssocCache};
 use allarm_coherence::ProbeFilter;
 use allarm_engine::{EventQueue, StreamRng};

@@ -7,6 +7,8 @@
 //! random operation sequences from fixed seeds, deterministic and
 //! replayable by case number.
 
+#![forbid(unsafe_code)]
+
 use allarm_coherence::SharerSet;
 use allarm_core::{AllocationPolicy, BatchRunner, Scenario, ScenarioGrid, SimThreads};
 use allarm_engine::{ShardPlan, StreamRng};

@@ -4,6 +4,8 @@
 //! the full scenario API produces a simulation report **byte-identical**
 //! to running the generated workload directly, at every shard count.
 
+#![forbid(unsafe_code)]
+
 use allarm_core::{
     AllocationPolicy, BatchRunner, JsonlSink, MachineConfig, Scenario, TraceFormat, WorkloadSpec,
 };
